@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos bench bench-full bench-parallel bench-sliding bench-shard bench-dst bench-check pybench examples report quickcheck ci lint typecheck clean
+.PHONY: install test chaos bench bench-full bench-parallel bench-sliding bench-shard bench-dst bench-check perfbench pybench examples report quickcheck ci lint typecheck clean
 
 # Bench defaults (override: make bench BENCH_SCALE=full BENCH_REPEATS=9).
 BENCH_SCALE ?= smoke
@@ -70,6 +70,21 @@ bench-dst:
 bench-check:
 	$(PYTHON) -m repro bench --scale smoke --repeats $(BENCH_REPEATS) \
 		--out $(BENCH_OUT) --compare $(BENCH_BASELINE) --tolerance 3.0
+
+# Correctness smoke of the repository benchmark (perfbench/, declared
+# in BENCHMARK.json): one pass of every workload at seed 1.  Fails
+# unless each run's last output line, a JSON object, says
+# "correct": true -- every answer verified, none failed.
+perfbench:
+	@for workload in mstw_deep mstw_wide sweep_forecast; do \
+		echo "== perfbench $$workload =="; \
+		out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 1 --trace 0); status=$$?; \
+		echo "$$out"; \
+		[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | $(PYTHON) -c \
+			"import json, sys; sys.exit(json.load(sys.stdin).get('correct') is not True)" \
+			|| { echo "perfbench $$workload: not correct"; exit 1; }; \
+	done
 
 # The legacy pytest-benchmark suite (needs the [test] extra).
 pybench:

@@ -60,7 +60,7 @@ def sliding_msta_incremental(
         for window in iter_windows(graph, window_length, step)
     ]
     if stats_out is not None:
-        stats_out.update(engine.stats)
+        stats_out.update(engine.counters())
     return measurements
 
 
@@ -81,5 +81,5 @@ def sliding_mstw_incremental(
         for window in iter_windows(graph, window_length, step)
     ]
     if stats_out is not None:
-        stats_out.update(engine.stats)
+        stats_out.update(engine.counters())
     return measurements

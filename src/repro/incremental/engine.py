@@ -32,7 +32,7 @@ recording the degradation.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import faults
 from repro.core.errors import BudgetExceededError, UnreachableRootError
@@ -112,6 +112,12 @@ class SlidingEngine:
             "fault_retries": 0,
             "fault_cold_prepares": 0,
         }
+
+    def counters(self) -> Dict[str, int]:
+        """Every work counter: the MST_a engine's, then the sweep's own."""
+        stats = dict(self.msta.stats)
+        stats.update(self.stats)
+        return stats
 
     # ------------------------------------------------------------------
     # MST_a

@@ -245,12 +245,10 @@ def run_sweep_shard_task(task: _SweepShardTask) -> Dict[str, Any]:
             measurements.append(engine.measure_msta(window, budget=budget))
         else:
             measurements.append(engine.measure_mstw(window, budget=budget))
-    stats = dict(engine.msta.stats)
-    stats.update(engine.stats)
     return {
         "index": task.index,
         "measurements": measurements,
-        "stats": stats,
+        "stats": engine.counters(),
         "elapsed_s": time.perf_counter() - started,
     }
 

@@ -18,8 +18,11 @@ the w-loop, the ``k'`` choices map bijectively onto the prefix lengths
 of the cheapest-first remaining order, so the kernels' single argmin
 returns the identical winner without re-running ``A^1`` per ``k'``.
 The batched checkpoint posts the same ``n * (1 + k)`` ticks the scalar
-double loop would, preserving budget-trip behaviour; duck-typed
-instances (instrumentation proxies) keep the scalar loops.
+double loop would, preserving budget-trip behaviour.  The ``A^2`` calls
+of the ``i >= 3`` recursion take the kernels at any instance size; the
+top-level ``A^2`` scan only above
+:data:`repro.steiner.kernels.KERNEL_MIN_CELLS`.  Duck-typed instances
+(instrumentation proxies) keep the scalar loops.
 """
 
 from __future__ import annotations
@@ -76,8 +79,9 @@ def _a_recursive(
     r: int,
     terminals: FrozenSet[int],
     budget: Budget,
+    nested: bool = False,
 ) -> ClosureTree:
-    """The recursive body of Algorithm 3."""
+    """The recursive body of Algorithm 3 (``nested`` below the top level)."""
     remaining: Set[int] = set(terminals)
     k = min(k, len(remaining))
     tree = ClosureTree.EMPTY
@@ -100,7 +104,7 @@ def _a_recursive(
 
     num_vertices = prepared.num_vertices
     root_row = prepared.cost_row(r)
-    workspace = kernels.workspace_for(prepared) if i == 2 else None
+    workspace = kernels.workspace_for(prepared, nested) if i == 2 else None
     while k > 0:
         best: Optional[ClosureTree] = None
         best_density = float("inf")
@@ -131,7 +135,7 @@ def _a_recursive(
                 for k_prime in range(1, k + 1):
                     subtree = _a_recursive(
                         prepared, i - 1, k_prime, v, frozenset(remaining),
-                        budget,
+                        budget, nested=True,
                     )
                     candidate = subtree.with_edge(r, v, edge_cost)
                     density = candidate.density

@@ -20,12 +20,13 @@ that the paper takes from SteinLib's published optima.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.resilience.budget import NULL_BUDGET, Budget
 from repro.steiner.instance import PreparedInstance
+from repro.steiner.tree import select_in_edges
 
 #: Refuse plainly infeasible subset DPs (3^18 ~ 4e8 split operations).
 MAX_EXACT_TERMINALS = 18
@@ -55,13 +56,10 @@ def exact_dst(
     closure_edges: Set[Tuple[int, int]] = set()
     if math.isfinite(cost):
         _backtrack(prepared, table, prepared.root, full, closure_edges)
-    best_in: Dict[int, Tuple[int, float]] = {}
-    for u, v in closure_edges:
-        for (a, b, w) in prepared.closure.path_edges(u, v):
-            current = best_in.get(b)
-            if current is None or w < current[1]:
-                best_in[b] = (a, w)
-    edges = [(a, b, w) for b, (a, w) in best_in.items()]
+    union = [
+        edge for u, v in closure_edges for edge in prepared.closure.path_edges(u, v)
+    ]
+    edges = select_in_edges(prepared.root, union, prepared.terminals)
     return cost, edges
 
 

@@ -23,6 +23,7 @@ from typing import Dict, List, Set, Tuple
 from repro.core.errors import UnreachableRootError
 from repro.static.arborescence import minimum_spanning_arborescence
 from repro.steiner.instance import PreparedInstance
+from repro.steiner.tree import select_in_edges
 
 Edge = Tuple[int, int, float]
 
@@ -30,13 +31,12 @@ Edge = Tuple[int, int, float]
 def shortest_paths_heuristic(prepared: PreparedInstance) -> Tuple[float, List[Edge]]:
     """Union of shortest root-to-terminal paths, one in-edge per vertex."""
     closure = prepared.closure
-    best_in: Dict[int, Tuple[int, float]] = {}
-    for terminal in prepared.terminals:
-        for (u, v, w) in closure.path_edges(prepared.root, terminal):
-            current = best_in.get(v)
-            if current is None or w < current[1]:
-                best_in[v] = (u, w)
-    edges = [(u, v, w) for v, (u, w) in best_in.items()]
+    union = [
+        edge
+        for terminal in prepared.terminals
+        for edge in closure.path_edges(prepared.root, terminal)
+    ]
+    edges = select_in_edges(prepared.root, union, prepared.terminals)
     return sum(w for _, _, w in edges), edges
 
 

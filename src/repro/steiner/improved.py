@@ -16,8 +16,11 @@ per candidate vertex) dispatches to the batched density kernels of
 -- one argmin over every ``(vertex, prefix)`` pair instead of ``n``
 Python loops -- with bit-identical winners, trees, and budget-trip
 behaviour (the batched checkpoint posts the same ``2n`` ticks the
-scalar scan would).  Duck-typed instances (the instrumentation
-proxies) and deeper recursion levels keep the scalar loops below.
+scalar scan would).  The ``B^2`` scans of the ``i >= 3`` recursion
+take the kernels at any instance size; the top-level ``Ã^2`` scan only
+above :data:`repro.steiner.kernels.KERNEL_MIN_CELLS`.  Duck-typed
+instances (the instrumentation proxies), small top-level scans, and
+the per-vertex loops of levels ``i >= 3`` stay scalar.
 """
 
 from __future__ import annotations
@@ -201,7 +204,8 @@ def _b_prefix(
     current = ClosureTree.EMPTY
     num_vertices = prepared.num_vertices
     root_row = prepared.cost_row(r)
-    workspace = kernels.workspace_for(prepared) if i == 2 else None
+    # ``B^2`` only runs inside the i >= 3 recursion: a nested scan.
+    workspace = kernels.workspace_for(prepared, nested=True) if i == 2 else None
     while k > 0:
         sub_best: Optional[ClosureTree] = None
         sub_best_density = float("inf")

@@ -13,15 +13,19 @@ the gap).
 The bottom-level scans (``i == 2``) run through the batched density
 kernels of :mod:`repro.steiner.kernels` on the numpy backend: a
 :class:`repro.steiner.kernels.PrunedScan` owns the tau array and walk
-order for a whole ``FinalA^2``/``FinalB^2`` call and replays each
-w-iteration's tau-sorted walk -- early break, warm-bound skip, winner
-selection -- as chunked array passes instead of per-vertex Python.
-Each chunk reports its tick total (two per evaluated vertex) and the
-solver checkpoints it, so rungs trip on the same w-iteration.
-Winners, tau values, budget trips, and ``_WarmMiss`` certification are
-bit-identical to the scalar walk, which remains below as the pure
-backend's implementation and for duck-typed instrumentation
-instances and deeper levels.
+order for a whole ``FinalA^2``/``FinalB^2`` call.  Its first
+w-iteration evaluates every vertex in one batched pass; later ones
+replay the tau-sorted walk -- early break, warm-bound skip, winner
+selection -- as a short scalar head plus chunked array passes.  Each
+step reports its tick total (two per evaluated vertex) and the solver
+checkpoints it, so rungs trip on the same w-iteration.  The
+``FinalB^2`` scans of the ``i >= 3`` recursion take this path at any
+instance size; the top-level ``FinalA^2`` scan only above
+:data:`repro.steiner.kernels.KERNEL_MIN_CELLS`.  Winners, tau values,
+budget trips, and ``_WarmMiss`` certification are bit-identical to the
+scalar walk, which remains below as the pure backend's implementation,
+for duck-typed instrumentation instances, for small top-level scans,
+and as the per-vertex loop of levels ``i >= 3``.
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ def _scan_vertices(
     before the scan so the early-break prunes all remaining vertices.
     Both are updated in place.  When ``scan`` is given (numpy backend,
     bottom level) it owns that state as arrays instead and the walk
-    runs in batched chunks; ``tau``/``order`` are then unused.
+    runs in batched passes; ``tau``/``order`` are then unused.
 
     ``bound`` (warm start) skips any candidate ``v`` with
     ``root_row[v] >= bound * k``: a branch covers at most ``k``
@@ -129,8 +133,8 @@ def _scan_vertices(
     bound_cost = None if bound is None else bound * k
     if scan is not None:
         # Batched bottom level: the scan replays the tau-sorted walk in
-        # chunked array passes (its own tau/order arrays), reporting
-        # each chunk's tick total -- two per evaluated vertex, the scan
+        # batched array passes (its own tau/order arrays), reporting
+        # each step's tick total -- two per evaluated vertex, the scan
         # tick plus the FinalB^1 base tick -- for the solver to
         # checkpoint, so rungs trip on the same w-iteration as the
         # scalar walk below.
@@ -263,7 +267,8 @@ def _final_b(
 
     current = ClosureTree.EMPTY
     num_vertices = prepared.num_vertices
-    scan = kernels.pruned_scan(prepared, r) if i == 2 else None
+    # ``FinalB^2`` only runs inside the i >= 3 recursion: a nested scan.
+    scan = kernels.pruned_scan(prepared, r, nested=True) if i == 2 else None
     tau = [-math.inf] * num_vertices if scan is None else []
     order = list(range(num_vertices)) if scan is None else []
     while k > 0:

@@ -307,6 +307,21 @@ class TestSweepSharded:
             "retries": 0, "rebuilds": 0, "inline_fallbacks": 0, "timeouts": 0,
         }
 
+    @pytest.mark.parametrize("kind", ["msta", "mstw"])
+    def test_engine_counters_match_serial_sweep(self, kind):
+        """One shard runs the serial sweep's engine: same counters."""
+        graph = _sweep_graph()
+        serial = sweep(graph, 0, 8.0, kind=kind)
+        sharded = sweep_sharded(graph, 0, 8.0, kind=kind, shards=1)
+        assert serial.stats is not None and sharded.stats is not None
+        counters = {
+            key: value
+            for key, value in sharded.stats.items()
+            if key not in ("shards", "faults")
+        }
+        assert serial.stats == counters
+        assert serial.stats["incremental_slides"] + serial.stats["cold_solves"] > 0
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ReproError, match="kind"):
             sweep_sharded(_sweep_graph(), 0, 8.0, kind="mst")

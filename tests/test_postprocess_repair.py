@@ -10,11 +10,15 @@ covered even if no dataset happens to trigger it.
 import pytest
 
 from repro.core.errors import InvalidTreeError
+from repro.core.mstw import minimum_spanning_tree_w
 from repro.core.postprocess import (
     _repair_selection,
     _smallest_arrival_selection,
 )
+from repro.datasets.registry import load_dataset
 from repro.temporal.edge import TemporalEdge
+from repro.temporal.paths import reachable_set
+from repro.temporal.window import TimeWindow
 
 
 class TestSmallestArrival:
@@ -90,3 +94,26 @@ class TestRepairSelection:
         assert set(parent) == {"a", "b", "c"}
         # the chain respects time constraints end to end
         assert parent["c"].start >= parent["b"].arrival
+
+
+class TestCyclicExpansionRegressions:
+    """Level-3 queries on zero-duration dblp windows whose expansion is cyclic.
+
+    Step 1 used to keep each vertex's cheapest in-edge of the expanded
+    path union, which here closed cycles no root path enters and left
+    Step 2 unable to connect 7 (resp. 6) vertices (``InvalidTreeError``).
+    """
+
+    @pytest.mark.parametrize(
+        "dataset_seed, root, window",
+        [
+            (10, 11, TimeWindow(1995.9113553795323, 2003.1113553795324)),
+            (664, 37, TimeWindow(1998.7307830094599, 2005.93078300946)),
+        ],
+    )
+    def test_answer_is_valid_spanning_tree(self, dataset_seed, root, window):
+        graph = load_dataset("dblp", scale=0.05, seed=dataset_seed, weighted=True)
+        result = minimum_spanning_tree_w(graph, root, window, level=3)
+        result.tree.validate(graph)
+        assert result.tree.vertices == reachable_set(graph, root, window)
+        assert result.weight <= result.closure_tree_cost + 1e-9

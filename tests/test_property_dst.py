@@ -7,7 +7,7 @@ approximation guarantee against the exact solver, and cover validity.
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.static.digraph import StaticDigraph
 from repro.steiner.charikar import charikar_dst
@@ -67,8 +67,27 @@ def test_approximation_guarantee(prepared, level):
     assert approx <= approximation_ratio(level, k) * opt + 1e-6
 
 
-@settings(max_examples=40, deadline=None)
+def _instance(num_vertices, edges, terminals):
+    g = StaticDigraph(range(num_vertices))
+    for u, v, w in edges:
+        g.add_edge(u, v, w)
+    return prepare_instance(DSTInstance(g, 0, tuple(terminals)))
+
+
+#: Closure tree ((3,3), (3,2), (3,1), (0,3)): the paths 0->2->3 and 3->2
+#: cross, and each vertex's cheapest in-edge closes the cycle 2<->3 with
+#: no edge out of the root.
+_CROSSING_PATHS = _instance(
+    6,
+    [(0, 1, 5.8), (0, 2, 7.0), (2, 3, 3.3), (0, 4, 7.6), (2, 5, 4.2),
+     (1, 0, 6.5), (5, 1, 6.5), (3, 1, 4.5), (5, 0, 8.3), (3, 2, 0.2)],
+    [3, 2, 1],
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(prepared=dst_instances(), level=st.integers(min_value=1, max_value=3))
+@example(prepared=_CROSSING_PATHS, level=2)
 def test_cover_complete_and_expandable(prepared, level):
     tree = improved_dst(prepared, level)
     assert tree.covered == frozenset(prepared.terminals)

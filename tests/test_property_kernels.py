@@ -9,9 +9,11 @@ against the verbatim pre-kernel solvers frozen in
 ``scalar_improved_dst`` / ``scalar_pruned_dst``).
 
 The kernel dispatch has a size floor (``KERNEL_MIN_CELLS``) below which
-instances stay scalar; every test here pins the floor to 0 so the
+top-level scans stay scalar; most tests here pin the floor to 0 so the
 batched paths run on the small generated fixtures (including walks long
 enough to cross the pruned scan's scalar head into its chunked steps).
+:class:`TestNestedScans` keeps the floor at its default: the level-2
+scans nested in a level-3 solve take the kernels at any size.
 
 CI runs this file on both matrix legs (numpy and ``REPRO_FORCE_PURE``)
 next to ``test_property_columnar.py`` and fails the job if any test
@@ -39,9 +41,11 @@ from repro.perf.legacy import (
 )
 from repro.resilience import fallback
 from repro.resilience.budget import Budget
+from repro.static.digraph import StaticDigraph
 from repro.steiner import kernels
 from repro.steiner.charikar import charikar_dst
 from repro.steiner.improved import improved_dst
+from repro.steiner.instance import DSTInstance, prepare_instance
 from repro.steiner.pruned import pruned_dst
 from repro.temporal.columnar import force_backend, numpy_available
 from repro.temporal.edge import TemporalEdge
@@ -225,6 +229,193 @@ class TestSolverIdentity:
         assert kernels.workspace_for(prepared) is None
         with kernel_floor(0):
             assert kernels.workspace_for(prepared) is not None
+
+
+# ----------------------------------------------------------------------
+# Nested scans: level 3 below the size floor, floor left at its default
+# ----------------------------------------------------------------------
+def _below_floor(prepared):
+    return prepared.num_vertices * len(prepared.terminals) < kernels.KERNEL_MIN_CELLS
+
+
+@contextmanager
+def counting_nested_scans(monkeypatch):
+    """Count the nested scans that got a workspace (the kernel path)."""
+    calls = []
+    original = kernels.workspace_for
+
+    def counted(prepared, nested=False):
+        workspace = original(prepared, nested)
+        if nested and workspace is not None:
+            calls.append(workspace.backend)
+        return workspace
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "workspace_for", counted)
+        yield calls
+
+
+class TestNestedScans:
+    @settings(max_examples=25, deadline=None)
+    @given(graph=reachable_graphs(), max_expansions=st.integers(1, 400))
+    def test_level3_matches_scalar_below_floor(self, graph, max_expansions):
+        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        assert _below_floor(prepared)
+        for backend in BACKENDS:
+            with force_backend(backend):
+                for new, old in SOLVER_PAIRS:
+                    for limit in (None, max_expansions):
+                        assert _outcome(new, prepared, 3, limit) == _outcome(
+                            old, prepared, 3, limit
+                        ), (backend, new.__name__, limit)
+                log_new, log_old = [], []
+                new_tree = pruned_dst(prepared, 3, density_log=log_new)
+                old_tree = scalar_pruned_dst(prepared, 3, density_log=log_old)
+                assert _fingerprint(new_tree) == _fingerprint(old_tree)
+                assert log_new == log_old
+
+    def test_seeded_level3_matches_scalar_under_draining_budgets(
+        self, monkeypatch
+    ):
+        """Instances with a few dozen closure vertices, still below the floor.
+
+        Every solver's unlimited expansion total is compared, then
+        budgets drained to just below it (one trip), at half of it and
+        at a tenth.  Charikar's scalar oracle is the slowest, so it runs
+        on the smaller graphs only.
+        """
+        with force_backend("numpy"):
+            for seed, n in ((0, 7), (1, 7), (2, 10), (3, 10)):
+                graph = _random_reachable_graph(seed, n=n)
+                _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+                assert _below_floor(prepared)
+                for new, old in SOLVER_PAIRS:
+                    if new is charikar_dst and n > 7:
+                        continue
+                    with counting_nested_scans(monkeypatch) as calls:
+                        unlimited = _outcome(new, prepared, 3, 10**9)
+                    assert "numpy" in calls, new.__name__
+                    assert unlimited == _outcome(old, prepared, 3, 10**9)
+                    total = unlimited[2]
+                    for limit in (total - 1, total // 2, total // 10):
+                        assert _outcome(new, prepared, 3, limit) == _outcome(
+                            old, prepared, 3, limit
+                        ), (seed, new.__name__, limit)
+                log_new, log_old = [], []
+                new_tree = pruned_dst(prepared, 3, density_log=log_new)
+                old_tree = scalar_pruned_dst(prepared, 3, density_log=log_old)
+                assert _fingerprint(new_tree) == _fingerprint(old_tree)
+                assert log_new == log_old
+
+    def test_top_level_scan_keeps_the_floor(self):
+        graph = _random_reachable_graph(0, n=12)
+        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        assert _below_floor(prepared)
+        with force_backend("numpy"):
+            assert kernels.workspace_for(prepared) is None
+            assert kernels.pruned_scan(prepared, 0) is None
+            assert kernels.workspace_for(prepared, nested=True) is not None
+            assert kernels.pruned_scan(prepared, 0, nested=True) is not None
+
+
+def _scalar_fresh_walk(prepared, source, k, remaining, bound_cost):
+    """The scalar pruned walk's first w-iteration, written out.
+
+    Every tau is ``-inf``, so no break fires: each vertex not skipped
+    by the warm bound is evaluated in index order.
+    """
+    incoming_row = prepared.cost_row(source)
+    tau = [-math.inf] * prepared.num_vertices
+    best_vertex, best_length, best_density = None, 0, math.inf
+    ticks = 0
+    for vertex in range(prepared.num_vertices):
+        incoming = incoming_row[vertex]
+        if bound_cost is not None and incoming >= bound_cost:
+            continue
+        ticks += 2
+        row = prepared.cost_row(vertex)
+        chosen, cost, density, length = 0, 0.0, math.inf, 0
+        for terminal in prepared.sorted_terminals_from(vertex):
+            if chosen >= k:
+                break
+            if terminal not in remaining:
+                continue
+            chosen += 1
+            cost += row[terminal]
+            if (cost + incoming) / chosen < density:
+                density, length = (cost + incoming) / chosen, chosen
+        tau[vertex] = density
+        if best_vertex is None or density < best_density:
+            best_vertex, best_length, best_density = vertex, length, density
+    return best_vertex, best_length, best_density, ticks, tau
+
+
+class TestFreshPrunedWalk:
+    def _fresh_scan(self, prepared, source, k, remaining, bound_cost=None):
+        with force_backend("numpy"):
+            workspace = kernels.workspace_for(prepared, nested=True)
+        assert workspace is not None and workspace.backend == "numpy"
+        scan = kernels.PrunedScan(prepared, workspace, source)
+        scan.begin(k, frozenset(remaining), bound_cost)
+        ticks = scan.step()
+        assert scan.step() is None  # one step finishes the walk
+        return scan, ticks
+
+    def test_one_step_with_2n_ticks_and_the_scalar_winner(self):
+        for seed in range(3):
+            graph = _random_reachable_graph(seed, n=30)
+            _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+            terminals = sorted(prepared.terminals)
+            rng = random.Random(seed)
+            for source in (0, *rng.sample(range(prepared.num_vertices), 3)):
+                remaining = frozenset(rng.sample(terminals, len(terminals) // 2))
+                for k in (1, len(remaining)):
+                    scan, ticks = self._fresh_scan(prepared, source, k, remaining)
+                    assert ticks == 2 * prepared.num_vertices
+                    vertex, length, density, ref_ticks, tau = _scalar_fresh_walk(
+                        prepared, source, k, remaining, None
+                    )
+                    assert ticks == ref_ticks
+                    assert (scan.best_vertex, scan.best_length, scan.best_density) == (
+                        vertex, length, density
+                    )
+                    assert scan._tau.tolist() == tau
+
+    def test_all_infinite_densities_pick_position_zero(self):
+        # Vertex 3 is a sink: from it every candidate density is inf,
+        # so the walk keeps walk position 0 with an empty prefix.
+        g = StaticDigraph(range(4))
+        for u, v, w in ((0, 1, 2.0), (1, 2, 3.0), (0, 3, 1.0)):
+            g.add_edge(u, v, w)
+        prepared = prepare_instance(DSTInstance(g, 0, (1, 2)))
+        source = 3
+        remaining = frozenset(prepared.terminals)
+        scan, ticks = self._fresh_scan(prepared, source, len(remaining), remaining)
+        vertex, length, density, ref_ticks, _ = _scalar_fresh_walk(
+            prepared, source, len(remaining), remaining, None
+        )
+        assert (vertex, length, density) == (0, 0, math.inf)
+        assert (scan.best_vertex, scan.best_length, scan.best_density) == (
+            0, 0, math.inf
+        )
+        assert ticks == ref_ticks == 2 * prepared.num_vertices
+
+    def test_warm_bound_skips_match_scalar(self):
+        graph = _random_reachable_graph(1, n=30)
+        _, prepared = prepare_mstw_instance(graph, 0, use_cache=False)
+        remaining = frozenset(prepared.terminals)
+        k = len(remaining)
+        finite = sorted(c for c in prepared.cost_row(0) if math.isfinite(c))
+        for bound_cost in (0.0, finite[1], finite[len(finite) // 2], math.inf):
+            scan, ticks = self._fresh_scan(prepared, 0, k, remaining, bound_cost)
+            vertex, length, density, ref_ticks, tau = _scalar_fresh_walk(
+                prepared, 0, k, remaining, bound_cost
+            )
+            assert ticks == ref_ticks
+            assert (scan.best_vertex, scan.best_length, scan.best_density) == (
+                vertex, length, density
+            )
+            assert scan._tau.tolist() == tau
 
 
 # ----------------------------------------------------------------------
